@@ -67,7 +67,7 @@ fn injection_run(c: &mut Criterion) {
 fn cache_hot_path(c: &mut Criterion) {
     let mut cache = Cache::new(CacheConfig { size: 32 * 1024, assoc: 4, line: 64, latency: 2 });
     for i in 0..512u64 {
-        cache.fill(0x4000_0000 + i * 64, &[0u8; 64]);
+        cache.fill(0x4000_0000 + i * 64, &[0u8; 64], &mut [0u8; 64]);
     }
     c.bench_function("cache_lookup_read", |b| {
         let mut a = 0x4000_0000u64;

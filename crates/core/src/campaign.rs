@@ -1294,11 +1294,13 @@ fn run_lane_pass(
 
     arm_due(sys, &mut lanes, masks, target, cc, golden, out, &mut remaining);
     let mut halted = false;
+    let mut events = Vec::new();
     while remaining > 0 {
         let ev = sys.tick();
         // Divergence monitor first: forks triggered by this very tick
         // leave the pass before any retirement below could misclaim them.
-        for e in sys.lane_drain_events() {
+        sys.lane_drain_events(&mut events);
+        for &e in &events {
             match e {
                 LaneEvent::Fork(l) => {
                     let lr = &mut lanes[l as usize];

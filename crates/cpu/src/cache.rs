@@ -254,9 +254,10 @@ impl Cache {
         self.apply_stuck_to_line(set, way);
     }
 
-    /// Install a line; returns the evicted dirty line `(addr, data)` if a
-    /// write-back is required.
-    pub fn fill(&mut self, addr: u64, data: &[u8]) -> Option<(u64, Vec<u8>)> {
+    /// Install a line. When the victim is dirty its bytes are copied into
+    /// `victim` (one line long) and its address returned: the caller owes
+    /// the level below a write-back.
+    pub fn fill(&mut self, addr: u64, data: &[u8], victim: &mut [u8]) -> Option<u64> {
         let set = self.set_of(addr);
         let way = self.victim(set);
         self.mark_set(set);
@@ -294,8 +295,8 @@ impl Cache {
         let idx = self.idx(set, way);
         let l = &mut self.lines[idx];
         let evicted = if l.valid && l.dirty {
-            let eaddr = (l.tag * sets + set as u64) * line_size;
-            Some((eaddr, l.data.to_vec()))
+            victim.copy_from_slice(&l.data);
+            Some((l.tag * sets + set as u64) * line_size)
         } else {
             None
         };
@@ -442,9 +443,10 @@ impl Cache {
         self.lane_events.clear();
     }
 
-    /// Drain events queued since the last call.
-    pub fn drain_lane_events(&mut self) -> Vec<CacheLaneEvent> {
-        std::mem::take(&mut self.lane_events)
+    /// Drain events queued since the last call (the queue keeps its
+    /// allocation for the next tick).
+    pub fn drain_lane_events(&mut self) -> std::vec::Drain<'_, CacheLaneEvent> {
+        self.lane_events.drain(..)
     }
 
     fn locate(&self, bit: u64) -> (usize, usize, usize, u8) {
@@ -462,8 +464,8 @@ impl Cache {
         if self.stuck.is_empty() {
             return;
         }
-        let stuck = self.stuck.clone();
-        for (bit, value) in stuck {
+        for k in 0..self.stuck.len() {
+            let (bit, value) = self.stuck[k];
             let (s, w, byte, mask) = self.locate(bit);
             if s == set && w == way {
                 let idx = self.idx(set, way);
@@ -744,7 +746,7 @@ mod tests {
     fn miss_then_hit() {
         let mut c = small();
         assert!(c.lookup(0x4000_0000).is_none());
-        c.fill(0x4000_0000, &[7u8; 64]);
+        c.fill(0x4000_0000, &[7u8; 64], &mut [0u8; 64]);
         let way = c.lookup(0x4000_0000).expect("hit after fill");
         assert_eq!(c.read(0x4000_0008, 8, way), 0x0707_0707_0707_0707);
     }
@@ -752,18 +754,18 @@ mod tests {
     #[test]
     fn write_sets_dirty_and_evicts() {
         let mut c = small();
-        c.fill(0x4000_0000, &[0u8; 64]);
+        c.fill(0x4000_0000, &[0u8; 64], &mut [0u8; 64]);
         let way = c.lookup(0x4000_0000).unwrap();
         c.write(0x4000_0000, 8, 0xDEAD_BEEF, way);
         // Fill 4 more lines mapping to set 0 (set stride = 4 * 64 = 256).
         let mut evicted = None;
+        let mut data = [0u8; 64];
         for i in 1..=4u64 {
-            if let Some(e) = c.fill(0x4000_0000 + i * 256, &[0u8; 64]) {
+            if let Some(e) = c.fill(0x4000_0000 + i * 256, &[0u8; 64], &mut data) {
                 evicted = Some(e);
             }
         }
-        let (addr, data) = evicted.expect("dirty line written back");
-        assert_eq!(addr, 0x4000_0000);
+        assert_eq!(evicted, Some(0x4000_0000), "dirty line written back");
         assert_eq!(&data[..4], &0xDEAD_BEEFu32.to_le_bytes());
     }
 
@@ -771,7 +773,7 @@ mod tests {
     fn plru_victim_changes_with_touches() {
         let mut c = small();
         for i in 0..4u64 {
-            c.fill(0x4000_0000 + i * 256, &[0u8; 64]);
+            c.fill(0x4000_0000 + i * 256, &[0u8; 64], &mut [0u8; 64]);
         }
         // Touch ways 0..3 in order; victim should not be the most recent.
         for i in 0..4u64 {
@@ -784,7 +786,7 @@ mod tests {
     #[test]
     fn flip_changes_data_and_tracks_fate() {
         let mut c = small();
-        c.fill(0x4000_0000, &[0u8; 64]);
+        c.fill(0x4000_0000, &[0u8; 64], &mut [0u8; 64]);
         // bit 3 of set 0 way 0 byte 0
         let fate = c.flip_bit(3);
         assert_eq!(fate, FaultFate::Pending);
@@ -805,7 +807,7 @@ mod tests {
     #[test]
     fn overwrite_before_read_is_masked() {
         let mut c = small();
-        c.fill(0x4000_0000, &[0u8; 64]);
+        c.fill(0x4000_0000, &[0u8; 64], &mut [0u8; 64]);
         c.flip_bit(0);
         let way = c.lookup(0x4000_0000).unwrap();
         c.write(0x4000_0000, 1, 0xFF, way);
@@ -815,7 +817,7 @@ mod tests {
     #[test]
     fn stuck_at_survives_writes() {
         let mut c = small();
-        c.fill(0x4000_0000, &[0u8; 64]);
+        c.fill(0x4000_0000, &[0u8; 64], &mut [0u8; 64]);
         c.set_stuck(0, true); // bit 0 of byte 0 stuck at 1
         let way = c.lookup(0x4000_0000).unwrap();
         c.write(0x4000_0000, 1, 0x00, way);
@@ -827,7 +829,7 @@ mod tests {
     fn stuck_at_survives_refill() {
         let mut c = small();
         c.set_stuck(7, true); // byte 0 bit 7 of set0/way0
-        c.fill(0x4000_0000, &[0u8; 64]);
+        c.fill(0x4000_0000, &[0u8; 64], &mut [0u8; 64]);
         let way = c.lookup(0x4000_0000).unwrap();
         assert_eq!(c.read(0x4000_0000, 1, way) & 0x80, 0x80);
     }
@@ -835,7 +837,7 @@ mod tests {
     #[test]
     fn taint_follows_flip_write_and_fill() {
         let mut c = small();
-        c.fill(0x4000_0000, &[0u8; 64]);
+        c.fill(0x4000_0000, &[0u8; 64], &mut [0u8; 64]);
         c.enable_taint();
         c.flip_bit(3);
         let way = c.probe(0x4000_0000).unwrap();
@@ -850,7 +852,7 @@ mod tests {
         assert_eq!(c.taint_read(0x4000_0008, 8, way), 0xFF00);
         // Refill clears the line's shadow until the caller re-taints it.
         c.invalidate_all();
-        c.fill(0x4000_0000, &[0u8; 64]);
+        c.fill(0x4000_0000, &[0u8; 64], &mut [0u8; 64]);
         let way = c.probe(0x4000_0000).unwrap();
         assert_eq!(c.taint_read(0x4000_0008, 8, way), 0);
         c.set_taint_line(0x4000_0000, way, &[0xAA; 64]);
@@ -861,7 +863,7 @@ mod tests {
     fn probe_does_not_touch_plru() {
         let mut c = small();
         for i in 0..4u64 {
-            c.fill(0x4000_0000 + i * 256, &[0u8; 64]);
+            c.fill(0x4000_0000 + i * 256, &[0u8; 64], &mut [0u8; 64]);
         }
         let before = c.victim(0);
         // Probing the would-be victim must not promote it.
@@ -873,7 +875,7 @@ mod tests {
     fn taint_prepare_fill_matches_eviction() {
         let mut c = small();
         c.enable_taint();
-        c.fill(0x4000_0000, &[0u8; 64]);
+        c.fill(0x4000_0000, &[0u8; 64], &mut [0u8; 64]);
         let way = c.probe(0x4000_0000).unwrap();
         c.write(0x4000_0000, 8, 0xBEEF, way); // dirty the line
         c.taint_write(0x4000_0000, 8, 0xF0, way);
@@ -881,9 +883,9 @@ mod tests {
         for i in 1..=4u64 {
             let a = 0x4000_0000 + i * 256;
             let shadow = c.taint_prepare_fill(a);
-            let evicted = c.fill(a, &[0u8; 64]);
+            let evicted = c.fill(a, &[0u8; 64], &mut [0u8; 64]);
             assert_eq!(shadow.is_some(), evicted.is_some(), "shadow/evict mismatch");
-            if let (Some(s), Some((eaddr, _))) = (shadow, evicted) {
+            if let (Some(s), Some(eaddr)) = (shadow, evicted) {
                 assert_eq!(eaddr, 0x4000_0000);
                 assert_eq!(s[0], 0xF0);
             }
@@ -893,13 +895,13 @@ mod tests {
     #[test]
     fn stuck_taint_reasserts_like_stuck_bits() {
         let mut c = small();
-        c.fill(0x4000_0000, &[0u8; 64]);
+        c.fill(0x4000_0000, &[0u8; 64], &mut [0u8; 64]);
         c.enable_taint();
         c.set_stuck(0, true);
         let way = c.probe(0x4000_0000).unwrap();
         c.taint_write(0x4000_0000, 1, 0, way);
         assert_eq!(c.taint_read(0x4000_0000, 1, way) & 1, 1);
-        c.fill(0x4000_0000, &[0u8; 64]);
+        c.fill(0x4000_0000, &[0u8; 64], &mut [0u8; 64]);
         let way = c.probe(0x4000_0000).unwrap();
         assert_eq!(c.taint_read(0x4000_0000, 1, way) & 1, 1);
     }
@@ -913,8 +915,8 @@ mod tests {
     #[test]
     fn dirty_reset_matches_fresh_clone() {
         let mut pristine = small();
-        pristine.fill(0x4000_0000, &[7u8; 64]);
-        pristine.fill(0x4000_0100, &[9u8; 64]);
+        pristine.fill(0x4000_0000, &[7u8; 64], &mut [0u8; 64]);
+        pristine.fill(0x4000_0100, &[9u8; 64], &mut [0u8; 64]);
         let mut c = pristine.clone();
         c.enable_dirty_tracking();
         let way = c.lookup(0x4000_0000).unwrap();
@@ -938,7 +940,7 @@ mod tests {
     fn dirty_reset_touches_only_dirty_sets() {
         let mut pristine = small();
         for i in 0..4u64 {
-            pristine.fill(0x4000_0000 + i * 64, &[1u8; 64]); // 4 distinct sets
+            pristine.fill(0x4000_0000 + i * 64, &[1u8; 64], &mut [0u8; 64]); // 4 distinct sets
         }
         let mut c = pristine.clone();
         c.enable_dirty_tracking();

@@ -197,6 +197,58 @@ struct FetchedUop {
     fetched_at: u64,
 }
 
+/// Functional-unit class of an issue-queue entry, fixed at dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IqClass {
+    Alu,
+    /// Multiply/divide: holds the unpipelined unit for this many cycles.
+    MulDiv(u32),
+    /// Load or store: address generation borrows an ALU.
+    Mem,
+}
+
+impl IqClass {
+    fn of(op: Op) -> IqClass {
+        match op {
+            Op::Load { .. } | Op::Store { .. } => IqClass::Mem,
+            Op::Alu(o) | Op::AluImm(o) if o.needs_muldiv_unit() => IqClass::MulDiv(o.latency()),
+            _ => IqClass::Alu,
+        }
+    }
+}
+
+/// One issue-queue entry: everything the select loop needs to decide
+/// that an entry cannot issue this cycle without touching the ROB.
+#[derive(Debug, Clone, Copy)]
+struct IqEntry {
+    seq: u64,
+    psrc: [u16; 3],
+    class: IqClass,
+    /// Issue epoch in which this load last failed the memory-dependence
+    /// gate (0 = never). While it equals [`Core::park_epoch`] nothing that
+    /// could change the outcome has happened, so the select loop skips
+    /// the load (DESIGN.md, "issue-stage parking").
+    parked: u64,
+}
+
+/// Why a parked load was re-attempted. `RegRewrite` and `External` bump
+/// the issue epoch, releasing every parked load; the others re-attempt
+/// one load whose gate reopened or whose re-attempt has side effects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Unpark {
+    /// Every store older than the load has resolved its address (or left
+    /// the SQ).
+    StoreAddr,
+    /// A register feeding a parked load was written or reallocated.
+    RegRewrite,
+    /// A fault or lane was armed from outside the pipeline.
+    External,
+    /// The armed PRF fault is still pending on one of the load's sources.
+    PrfGuard,
+    /// A live lane carries a diff or a pending fate monitor on a source.
+    LaneGuard,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Event {
     at: u64,
@@ -227,6 +279,18 @@ pub struct CoreStats {
     pub freelist_free_accum: u64,
     pub flushes: u64,
     pub replays: u64,
+    /// Select-loop visits skipped because the load was parked behind the
+    /// memory-dependence gate and nothing it depends on had changed.
+    pub park_skips: u64,
+    /// Parked loads re-attempted, by cause: an epoch bump (store address
+    /// resolved, source register rewritten, external mutation) or a
+    /// side-effect guard (armed PRF fault still pending on a source, lane
+    /// diff or fate monitor on a source).
+    pub unpark_store_addr: u64,
+    pub unpark_reg_rewrite: u64,
+    pub unpark_external: u64,
+    pub unpark_prf_guard: u64,
+    pub unpark_lane_guard: u64,
 }
 
 impl CoreStats {
@@ -262,12 +326,24 @@ pub struct Core {
 
     // backend
     rob: std::collections::VecDeque<RobEntry>,
-    iq: Vec<u64>,
+    iq: Vec<IqEntry>,
     events: Vec<Event>,
     /// Loads whose AGU has fired but whose cache access (through the
     /// buffered LQ request bits) is still in the load pipeline.
     pending_loads: Vec<(u64, u64)>,
     muldiv_free_at: u64,
+
+    // issue-stage parking (derived state, see DESIGN.md)
+    park_epoch: u64,
+    park_cause: Unpark,
+    /// Cached [`StoreQueue::oldest_unresolved`]; `None` = stale, recomputed
+    /// on the next memory-dependence query.
+    oldest_unresolved: Option<Option<u64>>,
+
+    // scratch buffers reused across ticks (never state)
+    due_loads: Vec<u64>,
+    /// Three cache lines: the fill data and two victim write-backs.
+    line_buf: Vec<u8>,
 
     // memory system
     pub prf: PhysRegFile,
@@ -341,6 +417,23 @@ fn alu_result_taint(u: &MicroOp, ta: u64, tb: u64, b: u64) -> u64 {
     }
 }
 
+/// Append `ent`'s architectural effect to the commit-effect log, if on.
+fn log_effect(log: &mut Option<Vec<CommitEffect>>, ent: &RobEntry, trap: Option<Trap>) {
+    if let Some(log) = log {
+        log.push(CommitEffect {
+            pc: ent.pc,
+            uop: ent.uop,
+            macro_len: ent.macro_len,
+            last_of_macro: ent.last_of_macro,
+            rd: if ent.pdst != PNONE { Some(ent.uop.rd) } else { None },
+            value: ent.result,
+            next_pc: ent.actual_next,
+            mem_addr: ent.mem_addr,
+            trap,
+        });
+    }
+}
+
 fn op_tag(op: Op) -> u8 {
     match op {
         Op::Alu(_) | Op::AluImm(_) | Op::LoadImm | Op::MovK(_) | Op::Auipc | Op::LinkAddr => 1,
@@ -352,7 +445,17 @@ fn op_tag(op: Op) -> u8 {
 }
 
 impl Core {
+    /// # Panics
+    /// If the L1I, L1D and L2 line sizes differ: fills move whole lines
+    /// between the levels through one line-sized buffer.
     pub fn new(cfg: CoreConfig) -> Self {
+        assert!(
+            cfg.l1i.line == cfg.l1d.line && cfg.l1d.line == cfg.l2.line,
+            "cache line sizes must match across the hierarchy (L1I {} B, L1D {} B, L2 {} B)",
+            cfg.l1i.line,
+            cfg.l1d.line,
+            cfg.l2.line
+        );
         let spec = cfg.isa.reg_spec();
         let prf = PhysRegFile::new(cfg.int_prf);
         let rename = RenameMap::new(spec.total_regs as usize, cfg.int_prf as u16);
@@ -375,6 +478,11 @@ impl Core {
             events: Vec::new(),
             pending_loads: Vec::new(),
             muldiv_free_at: 0,
+            park_epoch: 1,
+            park_cause: Unpark::External,
+            oldest_unresolved: None,
+            due_loads: Vec::new(),
+            line_buf: vec![0; 3 * cfg.l1d.line],
             prf,
             prf_fp: PhysRegFile::new(cfg.fp_prf),
             l1i: Cache::new(cfg.l1i),
@@ -476,6 +584,7 @@ impl Core {
         self.pending_loads.clear();
         self.lq.clear();
         self.sq = StoreQueue::new(self.cfg.sq_entries);
+        self.oldest_unresolved = None;
         let spec = self.isa.reg_spec();
         self.rename = RenameMap::new(spec.total_regs as usize, self.cfg.int_prf as u16);
         self.retire = RenameMap::new(spec.total_regs as usize, self.cfg.int_prf as u16);
@@ -520,6 +629,9 @@ impl Core {
         self.events.clone_from(&pristine.events);
         self.pending_loads.clone_from(&pristine.pending_loads);
         self.muldiv_free_at = pristine.muldiv_free_at;
+        self.park_epoch = pristine.park_epoch;
+        self.park_cause = pristine.park_cause;
+        self.oldest_unresolved = None;
         self.lq.entries.clone_from(&pristine.lq.entries);
         self.sq.entries.clone_from(&pristine.sq.entries);
         self.irq_pending = pristine.irq_pending;
@@ -543,7 +655,7 @@ impl Core {
         use std::mem::size_of;
         bytes += (self.fq.len() * size_of::<FetchedUop>()
             + self.rob.len() * size_of::<RobEntry>()
-            + self.iq.len() * 8
+            + self.iq.len() * size_of::<IqEntry>()
             + self.events.len() * size_of::<Event>()
             + self.pending_loads.len() * 16
             + self.lq.entries.len() * size_of::<crate::lsq::LqEntry>()
@@ -586,8 +698,9 @@ impl Core {
     /// only their dirty indices; small pipeline structures compare
     /// wholesale. Observational state (stats, armed fates, trace contents,
     /// taint shadows, tracers) is excluded — it cannot steer the data
-    /// plane. `fq` entries ignore their `fetched_at` pipeline-trace stamp;
-    /// invalid LSQ entries are wildcards (stale payload).
+    /// plane — and so is derived issue-stage parking state. `fq` entries
+    /// ignore their `fetched_at` pipeline-trace stamp; invalid LSQ entries
+    /// are wildcards (stale payload).
     pub fn state_converged(&self, pristine: &Core) -> bool {
         let fuop_eq = |a: &FetchedUop, b: &FetchedUop| {
             a.uop == b.uop
@@ -615,7 +728,13 @@ impl Core {
             && self.fq.len() == pristine.fq.len()
             && self.fq.iter().zip(&pristine.fq).all(|(a, b)| fuop_eq(a, b))
             && self.rob == pristine.rob
-            && self.iq == pristine.iq
+            // Park stamps are derived state: only the queued uops count.
+            && self.iq.len() == pristine.iq.len()
+            && self
+                .iq
+                .iter()
+                .zip(&pristine.iq)
+                .all(|(a, b)| a.seq == b.seq && a.psrc == b.psrc && a.class == b.class)
             && self.events == pristine.events
             && self.pending_loads == pristine.pending_loads
             && self.mdp == pristine.mdp
@@ -816,20 +935,22 @@ impl Core {
                 self.flush_to(marvel_ir::memmap::IRQ_VECTOR);
                 return StepEvent::None;
             }
-            let ent = self.rob.front().unwrap().clone();
-            if let Some(t) = ent.trap {
-                self.log_effect(&ent, Some(t));
+            if let Some(t) = head.trap {
+                log_effect(&mut self.commit_log, head, Some(t));
                 return StepEvent::Trapped(t);
             }
             // Memory-ordering replay: squash from this load (inclusive)
             // and refetch it; the conflicting older store has retired.
-            if ent.replay {
+            if head.replay {
                 self.stats.replays += 1;
-                let pc = ent.pc;
+                let pc = head.pc;
                 self.mdp[(pc >> 2) as usize & 1023] = true;
                 self.flush_to(pc);
                 return StepEvent::None;
             }
+            // Everything below retires the head; flushes further down
+            // squash only younger entries, so it can leave the ROB now.
+            let ent = self.rob.pop_front().unwrap();
 
             // marvel-taint: a tainted value retiring into architectural
             // state (register write or control-flow decision). Stores are
@@ -896,7 +1017,7 @@ impl Core {
                 le.commit(ent.seq, (1..=3).contains(&tag) && !matches!(ent.uop.op, Op::Nop));
             }
 
-            self.log_effect(&ent, None);
+            log_effect(&mut self.commit_log, &ent, None);
 
             self.stats.committed_uops += 1;
             if ent.last_of_macro {
@@ -905,22 +1026,12 @@ impl Core {
 
             // Simulation markers.
             match ent.uop.op {
-                Op::Halt => {
-                    self.rob.pop_front();
-                    return StepEvent::Halted;
-                }
-                Op::Checkpoint => {
-                    self.rob.pop_front();
-                    return StepEvent::CheckpointHit;
-                }
-                Op::SwitchCpu => {
-                    self.rob.pop_front();
-                    return StepEvent::SwitchCpuHit;
-                }
+                Op::Halt => return StepEvent::Halted,
+                Op::Checkpoint => return StepEvent::CheckpointHit,
+                Op::SwitchCpu => return StepEvent::SwitchCpuHit,
                 Op::Iret => {
                     let target = self.iret_pc;
                     self.in_irq = false;
-                    self.rob.pop_front();
                     self.flush_to(target);
                     return StepEvent::None;
                 }
@@ -934,17 +1045,13 @@ impl Core {
                 if let Op::Branch(_) = ent.uop.op {
                     self.bp.train(ent.pc, ent.taken, mispredicted);
                 }
-                self.rob.pop_front();
                 if mispredicted {
                     self.stats.mispredicts += 1;
                     let t = ent.actual_next;
                     self.flush_to(t);
                     return StepEvent::None;
                 }
-                continue;
             }
-
-            self.rob.pop_front();
         }
         StepEvent::None
     }
@@ -957,12 +1064,11 @@ impl Core {
             // diffs and deferred ROB arms survive, like scalar state.
             le.flush();
         }
-        // Release in-flight destination registers.
-        let pdsts: Vec<u16> = self.rob.iter().filter(|e| e.pdst != PNONE).map(|e| e.pdst).collect();
-        for p in pdsts {
-            if p != 0 {
-                self.freelist.release(p);
-                self.prf.set_ready(p, true);
+        // In-flight destination registers read ready again; the free-list
+        // rebuild below returns them.
+        for e in &self.rob {
+            if e.pdst != PNONE && e.pdst != 0 {
+                self.prf.set_ready(e.pdst, true);
             }
         }
         self.rob.clear();
@@ -971,10 +1077,11 @@ impl Core {
         self.pending_loads.clear();
         self.lq.clear();
         self.sq.squash_after(0);
+        self.oldest_unresolved = None;
         self.rename.copy_from(&self.retire);
         // Rebuild the free list from the retirement map to stay consistent
         // even after rename-map fault injection.
-        self.freelist = FreeList::new(self.cfg.int_prf as u16, self.retire.entries());
+        self.freelist.rebuild(self.cfg.int_prf as u16, self.retire.entries());
         // Speculative rename corruption is wiped by the copy above.
         if let Some(tp) = self.taint.as_deref_mut() {
             tp.rename.iter_mut().for_each(|t| *t = false);
@@ -1027,6 +1134,11 @@ impl Core {
                 return Some(Trap::MemFault { pc: 0, addr: e.addr });
             }
             self.sq.free(idx);
+            if !e.addr_ready {
+                // Only a corrupted entry retires unresolved; leaving the
+                // SQ, it stops blocking younger loads.
+                self.oldest_unresolved = None;
+            }
         }
         None
     }
@@ -1050,11 +1162,30 @@ impl Core {
             return Some(l1_lat);
         }
         l1.misses += 1;
+        let mut scratch = std::mem::take(&mut self.line_buf);
+        let lat = self.fill_line(bus, laddr, icache, l1_lat, &mut scratch);
+        self.line_buf = scratch;
+        lat
+    }
+
+    /// The miss path of [`ensure_line`](Self::ensure_line): bring the line
+    /// at `laddr` into L1 through L2, writing dirty victims back. `scratch`
+    /// holds three lines: the fill data and the two possible victims.
+    fn fill_line(
+        &mut self,
+        bus: &mut dyn Bus,
+        laddr: u64,
+        icache: bool,
+        l1_lat: u32,
+        scratch: &mut [u8],
+    ) -> Option<u32> {
+        let line = self.cfg.l1d.line as u64;
+        let (buf, victims) = scratch.split_at_mut(line as usize);
+        let (edata, d2) = victims.split_at_mut(line as usize);
         let taint_on = self.l2.taint_on();
         let l1_name = if icache { T_L1I } else { T_L1D };
         // L2 lookup.
         let mut lat = l1_lat + self.cfg.l2.latency;
-        let mut buf = vec![0u8; line as usize];
         // Shadow bytes travelling with `buf` into the L1 (marvel-taint).
         let mut shadow_in: Vec<u8> = Vec::new();
         if let Some(way) = self.l2.lookup(laddr) {
@@ -1067,12 +1198,12 @@ impl Core {
         } else {
             self.l2.misses += 1;
             lat += self.cfg.mem_latency;
-            if !bus.read_line(laddr, &mut buf) {
+            if !bus.read_line(laddr, buf) {
                 return None;
             }
             let evict_shadow = if taint_on { self.l2.taint_prepare_fill(laddr) } else { None };
-            if let Some((eaddr, edata)) = self.l2.fill(laddr, &buf) {
-                let _ = bus.write_line(eaddr, &edata);
+            if let Some(eaddr) = self.l2.fill(laddr, buf, edata) {
+                let _ = bus.write_line(eaddr, edata);
                 if let Some(es) = &evict_shadow {
                     bus.taint_write_line(eaddr, es);
                     if es.iter().any(|&b| b != 0) {
@@ -1102,16 +1233,14 @@ impl Core {
             None
         };
         let l1 = if icache { &mut self.l1i } else { &mut self.l1d };
-        if let Some((eaddr, edata)) = l1.fill(laddr, &buf) {
+        if let Some(eaddr) = l1.fill(laddr, buf, edata) {
             // Write back dirty L1 victim into L2 (allocate on writeback).
             if let Some(way) = self.l2.lookup(eaddr) {
-                let line_sz = edata.len();
                 for (i, chunk) in edata.chunks(8).enumerate() {
                     let mut v = [0u8; 8];
                     v[..chunk.len()].copy_from_slice(chunk);
                     self.l2.write(eaddr + (i * 8) as u64, chunk.len(), u64::from_le_bytes(v), way);
                 }
-                let _ = line_sz;
                 if let Some(es) = &evict1_shadow {
                     for (i, chunk) in es.chunks(8).enumerate() {
                         let mut v = [0u8; 8];
@@ -1129,8 +1258,8 @@ impl Core {
                 }
             } else {
                 let evict2_shadow = if taint_on { self.l2.taint_prepare_fill(eaddr) } else { None };
-                if let Some((e2, d2)) = self.l2.fill(eaddr, &edata) {
-                    let _ = bus.write_line(e2, &d2);
+                if let Some(e2) = self.l2.fill(eaddr, edata, d2) {
+                    let _ = bus.write_line(e2, d2);
                     if let Some(es2) = &evict2_shadow {
                         bus.taint_write_line(e2, es2);
                         if es2.iter().any(|&b| b != 0) {
@@ -1289,21 +1418,15 @@ impl Core {
         let mut mem_left = self.cfg.n_mem_ports;
 
         // Deferred load accesses first (they own the L1D ports this cycle).
-        let due: Vec<(u64, u64)> = {
-            let now = self.cycle;
-            let mut due = Vec::new();
-            let mut keep = Vec::new();
-            for &(at, seq) in &self.pending_loads {
-                if at <= now {
-                    due.push((at, seq));
-                } else {
-                    keep.push((at, seq));
-                }
+        let now = self.cycle;
+        let mut due = std::mem::take(&mut self.due_loads);
+        self.pending_loads.retain(|&(at, seq)| {
+            if at <= now {
+                due.push(seq);
             }
-            self.pending_loads = keep;
-            due
-        };
-        for (_, seq) in due {
+            at > now
+        });
+        for &seq in &due {
             if mem_left == 0 {
                 self.pending_loads.push((self.cycle + 1, seq));
                 continue;
@@ -1314,80 +1437,194 @@ impl Core {
                 self.pending_loads.push((self.cycle + REQUEST_DELAY, seq));
             }
         }
+        due.clear();
+        self.due_loads = due;
+
+        debug_assert!(
+            self.oldest_unresolved.is_none_or(|o| o == self.sq.oldest_unresolved()),
+            "the SQ changed without invalidating its oldest-unresolved cache"
+        );
+        // A register feeding a parked load changed since the last select.
+        if self.prf.take_watch_hit() {
+            self.unpark_all(Unpark::RegRewrite);
+        }
         let mut issued = 0usize;
         let mut i = 0;
         // IQ is kept in ascending seq order (oldest first).
         while i < self.iq.len() && issued < self.cfg.issue_width {
-            let seq = self.iq[i];
-            let Some(idx) = self.rob_index_of(seq) else {
-                self.iq.remove(i);
-                continue;
-            };
-            let ent = self.rob[idx].clone();
-            let ready = ent.psrc.iter().all(|&p| p == PNONE || self.prf.is_ready(p));
-            if !ready {
-                i += 1;
-                continue;
+            if alu_left == 0 && self.muldiv_free_at > self.cycle {
+                break; // no unit left for anything further down the queue
             }
-            let is_mem = ent.uop.op.is_load() || ent.uop.op.is_store();
-            let needs_muldiv = matches!(ent.uop.op, Op::Alu(o) | Op::AluImm(o) if o.needs_muldiv_unit());
-            if is_mem {
-                // Address generation borrows an ALU; the L1D ports are
-                // consumed by the deferred accesses above.
-                if alu_left == 0 {
-                    i += 1;
-                    continue;
-                }
-            } else if needs_muldiv {
-                if self.muldiv_free_at > self.cycle {
-                    i += 1;
-                    continue;
-                }
-            } else if alu_left == 0 {
-                i += 1;
-                continue;
-            }
-
-            let fired = if is_mem {
-                let ok = self.issue_mem(bus, idx);
-                if ok {
-                    alu_left -= 1;
-                }
-                ok
-            } else {
-                if needs_muldiv {
-                    let lat = match ent.uop.op {
-                        Op::Alu(o) | Op::AluImm(o) => o.latency(),
-                        _ => 1,
-                    };
-                    self.muldiv_free_at = self.cycle + lat as u64;
+            let q = self.iq[i];
+            let mut counter = None;
+            if q.parked == self.park_epoch {
+                // Same epoch: operands and readiness are as they were, so
+                // only the store queue can have reopened the gate.
+                counter = if self.older_unresolved_store(q.seq) {
+                    self.park_guard(&q.psrc)
                 } else {
+                    Some(Unpark::StoreAddr)
+                };
+                if counter.is_none() {
+                    debug_assert!(
+                        self.park_still_holds(&*bus, &q),
+                        "parked load {} skipped, but a re-attempt would not block",
+                        q.seq
+                    );
+                    self.stats.park_skips += 1;
+                    i += 1;
+                    continue;
+                }
+            } else if q.parked != 0 {
+                counter = Some(self.park_cause);
+            }
+            if !q.psrc.iter().all(|&p| p == PNONE || self.prf.is_ready(p)) {
+                i += 1;
+                continue;
+            }
+            let blocked = match q.class {
+                IqClass::MulDiv(_) => self.muldiv_free_at > self.cycle,
+                IqClass::Alu | IqClass::Mem => alu_left == 0,
+            };
+            if blocked {
+                i += 1;
+                continue;
+            }
+            let Some(idx) = self.rob_index_of(q.seq) else {
+                self.iq.remove(i);
+                continue;
+            };
+            if let Some(c) = counter {
+                *self.unpark_counter(c) += 1;
+            }
+            match q.class {
+                IqClass::Mem => {
+                    if !self.issue_mem(bus, idx) {
+                        // Blocked behind an older unresolved store: park
+                        // until something the gate reads changes.
+                        self.iq[i].parked = self.park_epoch;
+                        for p in q.psrc {
+                            if p != PNONE {
+                                self.prf.watch(p);
+                            }
+                        }
+                        i += 1;
+                        continue;
+                    }
                     alu_left -= 1;
                 }
-                self.issue_alu(idx);
-                true
-            };
-            if fired {
-                self.iq.remove(i);
-                issued += 1;
-            } else {
-                i += 1;
+                IqClass::MulDiv(lat) => {
+                    self.muldiv_free_at = self.cycle + lat as u64;
+                    self.issue_alu(idx);
+                }
+                IqClass::Alu => {
+                    alu_left -= 1;
+                    self.issue_alu(idx);
+                }
             }
+            self.iq.remove(i);
+            issued += 1;
         }
     }
 
+    /// Release every parked load: something their memory-dependence gate
+    /// reads may have changed.
+    fn unpark_all(&mut self, cause: Unpark) {
+        self.park_epoch += 1;
+        self.park_cause = cause;
+        self.prf.clear_watch();
+    }
+
+    /// Hook for state changes made from outside the pipeline (fault and
+    /// lane arming, stuck bits): every parked load is re-attempted. The
+    /// SoC's injection entry points (`flip`, `set_stuck`, `lane_arm`)
+    /// call it after each mutation.
+    pub fn note_external_mutation(&mut self) {
+        self.oldest_unresolved = None;
+        self.unpark_all(Unpark::External);
+    }
+
+    /// A parked load whose re-attempt would still have side effects must
+    /// be re-attempted even though its outcome cannot change: the operand
+    /// reads latch an armed fault's fate (scalar runs) or a lane's fate
+    /// monitor, and a lane diff on an address source forks the lane.
+    /// Returns the guard the re-attempt is charged to.
+    fn park_guard(&self, psrc: &[u16; 3]) -> Option<Unpark> {
+        for &p in &psrc[..2] {
+            if p == PNONE {
+                continue;
+            }
+            if self.prf.armed_pending(p) {
+                return Some(Unpark::PrfGuard);
+            }
+            if self.lanes.as_deref().is_some_and(|le| le.reg_watched(false, p)) {
+                return Some(Unpark::LaneGuard);
+            }
+        }
+        None
+    }
+
+    fn unpark_counter(&mut self, c: Unpark) -> &mut u64 {
+        let s = &mut self.stats;
+        match c {
+            Unpark::StoreAddr => &mut s.unpark_store_addr,
+            Unpark::RegRewrite => &mut s.unpark_reg_rewrite,
+            Unpark::External => &mut s.unpark_external,
+            Unpark::PrfGuard => &mut s.unpark_prf_guard,
+            Unpark::LaneGuard => &mut s.unpark_lane_guard,
+        }
+    }
+
+    /// Test-build cross-check of a parked-load skip, recomputed from
+    /// scratch without side effects: a re-attempt now would pass the trap
+    /// checks and meet a set MDP bit (or, unready, not happen at all). The
+    /// store-queue half of the gate comes from the cache, which the select
+    /// loop checks against a full scan every cycle.
+    fn park_still_holds(&self, bus: &dyn Bus, q: &IqEntry) -> bool {
+        if !q.psrc.iter().all(|&p| p == PNONE || self.prf.is_ready(p)) {
+            return true;
+        }
+        let Some(idx) = self.rob_index_of(q.seq) else { return false };
+        let e = &self.rob[idx];
+        let Op::Load { w, .. } = e.uop.op else { return false };
+        let peek = |p: u16| if p == PNONE { 0 } else { self.prf.peek(p) };
+        let offset = if e.uop.reg_offset { peek(e.psrc[1]) } else { e.uop.imm as u64 };
+        let addr = peek(e.psrc[0]).wrapping_add(offset);
+        let size = w.bytes();
+        let traps = (addr % size != 0 && self.isa.traps_on_misaligned())
+            || !(bus.is_device(addr)
+                || (bus.is_cacheable(addr) && bus.is_cacheable(addr.wrapping_add(size - 1))));
+        !traps && self.mdp[(e.pc >> 2) as usize & 1023]
+    }
+
+    /// Is any store older than `seq` still waiting for its address?
+    fn older_unresolved_store(&mut self, seq: u64) -> bool {
+        let oldest = match self.oldest_unresolved {
+            Some(o) => o,
+            None => {
+                let o = self.sq.oldest_unresolved();
+                self.oldest_unresolved = Some(o);
+                o
+            }
+        };
+        oldest.is_some_and(|o| o < seq)
+    }
+
     fn issue_alu(&mut self, idx: usize) {
-        let ent = self.rob[idx].clone();
-        let a = self.operand(ent.psrc[0]);
-        let b = self.operand(ent.psrc[1]);
-        let (result, next, taken, trap, lat) = self.exec_alu(&ent, a, b);
+        let (psrc, uop, pc, macro_len) = {
+            let e = &self.rob[idx];
+            (e.psrc, e.uop, e.pc, e.macro_len)
+        };
+        let a = self.operand(psrc[0]);
+        let b = self.operand(psrc[1]);
+        let (result, next, taken, trap, lat) = self.exec_alu(&uop, pc, macro_len, a, b);
         if self.lanes.is_some() {
-            self.lane_issue_alu(&ent, a, b, result, trap);
+            self.lane_issue_alu(&psrc, &uop, self.rob[idx].seq, a, b, result, trap);
         }
         let taint = if self.taint.is_some() {
-            let ta = self.operand_taint(ent.psrc[0]);
-            let tb = self.operand_taint(ent.psrc[1]);
-            let t = alu_result_taint(&ent.uop, ta, tb, b);
+            let ta = self.operand_taint(psrc[0]);
+            let tb = self.operand_taint(psrc[1]);
+            let t = alu_result_taint(&uop, ta, tb, b);
             if (ta | tb) != 0 {
                 self.taint_hop(T_PRF, T_ROB);
             }
@@ -1410,15 +1647,25 @@ impl Core {
     /// Lane overlay for [`issue_alu`](Self::issue_alu): propagate operand
     /// diffs into a result diff attached to the execute event, or fork
     /// lanes whose divergence reaches control flow or a trap decision.
-    fn lane_issue_alu(&mut self, ent: &RobEntry, a: u64, b: u64, golden: u64, trap: Option<Trap>) {
+    #[allow(clippy::too_many_arguments)]
+    fn lane_issue_alu(
+        &mut self,
+        psrc: &[u16; 3],
+        uop: &MicroOp,
+        seq: u64,
+        a: u64,
+        b: u64,
+        golden: u64,
+        trap: Option<Trap>,
+    ) {
         let le = self.lanes.as_deref_mut().unwrap();
         let src = |p: u16| if p == PNONE { None } else { Some(p) };
-        let (da, dam) = le.operand_diffs(false, src(ent.psrc[0]));
-        let (db, dbm) = le.operand_diffs(false, src(ent.psrc[1]));
+        let (da, dam) = le.operand_diffs(false, src(psrc[0]));
+        let (db, dbm) = le.operand_diffs(false, src(psrc[1]));
         if (dam | dbm) & le.live == 0 {
             return;
         }
-        match ent.uop.op {
+        match uop.op {
             Op::Alu(op) | Op::AluImm(op) => {
                 if trap.is_some() {
                     // Golden divided by zero here: an operand diff could
@@ -1427,12 +1674,12 @@ impl Core {
                     le.fork(dam | dbm);
                     return;
                 }
-                let (diff, nz) = if matches!(ent.uop.op, Op::Alu(_)) {
+                let (diff, nz) = if matches!(uop.op, Op::Alu(_)) {
                     le.alu(op, a, b, golden, &da, dam, &db, dbm)
                 } else {
-                    le.alu(op, a, ent.uop.imm as u64, golden, &da, dam, &[0; 64], 0)
+                    le.alu(op, a, uop.imm as u64, golden, &da, dam, &[0; 64], 0)
                 };
-                le.push_event(ent.seq, diff, nz);
+                le.push_event(seq, diff, nz);
             }
             Op::MovK(sh) => {
                 let keep = !(0xFFFFu64 << sh);
@@ -1447,7 +1694,7 @@ impl Core {
                         nz |= 1 << l;
                     }
                 }
-                le.push_event(ent.seq, diff, nz);
+                le.push_event(seq, diff, nz);
             }
             // Result and next-PC derive from the PC alone: no register
             // diff can flow in.
@@ -1475,30 +1722,36 @@ impl Core {
         }
     }
 
-    fn exec_alu(&mut self, ent: &RobEntry, a: u64, b: u64) -> (u64, u64, bool, Option<Trap>, u32) {
-        let u = &ent.uop;
-        let fallthrough = ent.pc.wrapping_add(ent.macro_len as u64);
+    fn exec_alu(
+        &self,
+        u: &MicroOp,
+        pc: u64,
+        macro_len: u8,
+        a: u64,
+        b: u64,
+    ) -> (u64, u64, bool, Option<Trap>, u32) {
+        let fallthrough = pc.wrapping_add(macro_len as u64);
         match u.op {
             Op::Alu(op) => match op.eval(a, b, self.isa) {
                 Some(v) => (v, fallthrough, false, None, op.latency()),
-                None => (0, fallthrough, false, Some(Trap::DivideByZero { pc: ent.pc }), 1),
+                None => (0, fallthrough, false, Some(Trap::DivideByZero { pc }), 1),
             },
             Op::AluImm(op) => match op.eval(a, u.imm as u64, self.isa) {
                 Some(v) => (v, fallthrough, false, None, op.latency()),
-                None => (0, fallthrough, false, Some(Trap::DivideByZero { pc: ent.pc }), 1),
+                None => (0, fallthrough, false, Some(Trap::DivideByZero { pc }), 1),
             },
             Op::LoadImm => (u.imm as u64, fallthrough, false, None, 1),
             Op::MovK(sh) => {
                 let mask = 0xFFFFu64 << sh;
                 ((a & !mask) | (((u.imm as u64) & 0xFFFF) << sh), fallthrough, false, None, 1)
             }
-            Op::Auipc => (ent.pc.wrapping_add(u.imm as u64), fallthrough, false, None, 1),
+            Op::Auipc => (pc.wrapping_add(u.imm as u64), fallthrough, false, None, 1),
             Op::LinkAddr => (fallthrough, fallthrough, false, None, 1),
-            Op::Jal => (fallthrough, ent.pc.wrapping_add(u.imm as u64), true, None, 1),
+            Op::Jal => (fallthrough, pc.wrapping_add(u.imm as u64), true, None, 1),
             Op::Jalr => (fallthrough, a.wrapping_add(u.imm as u64), true, None, 1),
             Op::Branch(c) => {
                 let taken = c.eval(a, b);
-                let next = if taken { ent.pc.wrapping_add(u.imm as u64) } else { fallthrough };
+                let next = if taken { pc.wrapping_add(u.imm as u64) } else { fallthrough };
                 (0, next, taken, None, 1)
             }
             _ => (0, fallthrough, false, None, 1),
@@ -1507,40 +1760,39 @@ impl Core {
 
     /// Try to issue a memory micro-op; returns `false` to retry later.
     fn issue_mem(&mut self, bus: &mut dyn Bus, idx: usize) -> bool {
-        let ent = self.rob[idx].clone();
-        let base = self.operand(ent.psrc[0]);
-        let index = self.operand(ent.psrc[1]);
-        let addr = if ent.uop.reg_offset {
-            base.wrapping_add(index)
-        } else {
-            base.wrapping_add(ent.uop.imm as u64)
+        let (psrc, uop, pc, seq, lqi, ctl_taint) = {
+            let e = &self.rob[idx];
+            (e.psrc, e.uop, e.pc, e.seq, e.lq, e.ctl_taint)
         };
+        let base = self.operand(psrc[0]);
+        let index = self.operand(psrc[1]);
+        let addr =
+            if uop.reg_offset { base.wrapping_add(index) } else { base.wrapping_add(uop.imm as u64) };
         // Tainted base/index bits can move the effective address anywhere
         // above the lowest tainted bit: conservative arithmetic spread.
         let addr_taint = if self.taint.is_some() {
-            let t = self.operand_taint(ent.psrc[0])
-                | if ent.uop.reg_offset { self.operand_taint(ent.psrc[1]) } else { 0 };
-            alu_taint(TaintAluKind::Arith, t, 0, 0) | if ent.ctl_taint { !0 } else { 0 }
+            let t = self.operand_taint(psrc[0])
+                | if uop.reg_offset { self.operand_taint(psrc[1]) } else { 0 };
+            alu_taint(TaintAluKind::Arith, t, 0, 0) | if ctl_taint { !0 } else { 0 }
         } else {
             0
         };
         if let Some(le) = self.lanes.as_deref_mut() {
             // A diff feeding the effective address moves the access: the
             // overlay cannot follow a lane to a different location.
-            let mut m = if ent.psrc[0] == PNONE { 0 } else { le.reg_mask(false, ent.psrc[0]) };
-            if ent.uop.reg_offset && ent.psrc[1] != PNONE {
-                m |= le.reg_mask(false, ent.psrc[1]);
+            let mut m = if psrc[0] == PNONE { 0 } else { le.reg_mask(false, psrc[0]) };
+            if uop.reg_offset && psrc[1] != PNONE {
+                m |= le.reg_mask(false, psrc[1]);
             }
             le.fork(m);
         }
 
-        let (w, is_load) = match ent.uop.op {
+        let (w, is_load) = match uop.op {
             Op::Load { w, .. } => (w, true),
             Op::Store { w } => (w, false),
             _ => unreachable!("issue_mem on non-memory uop"),
         };
         let size = w.bytes() as u8;
-        let seq = ent.seq;
 
         // Alignment / mapping checks produce precise traps.
         let misaligned = addr % size as u64 != 0;
@@ -1548,9 +1800,9 @@ impl Core {
         let mapped = device || (bus.is_cacheable(addr) && bus.is_cacheable(addr + size as u64 - 1));
         let mut trap = None;
         if misaligned && self.isa.traps_on_misaligned() {
-            trap = Some(Trap::Misaligned { pc: ent.pc, addr });
+            trap = Some(Trap::Misaligned { pc, addr });
         } else if !mapped {
-            trap = Some(Trap::MemFault { pc: ent.pc, addr });
+            trap = Some(Trap::MemFault { pc, addr });
         }
         if let Some(t) = trap {
             let e = &mut self.rob[idx];
@@ -1571,6 +1823,9 @@ impl Core {
                 sqe.size = size;
                 sqe.data_ready = true;
             }
+            if !is_load {
+                self.oldest_unresolved = None;
+            }
             return true;
         }
 
@@ -1583,11 +1838,11 @@ impl Core {
             // Loads issue speculatively past older stores with unknown
             // addresses and rely on store-snoop replay, unless the
             // memory-dependence predictor has seen this PC violate.
-            if self.mdp[(ent.pc >> 2) as usize & 1023] && self.sq.older_unknown_addr(seq) {
+            if self.mdp[(pc >> 2) as usize & 1023] && self.older_unresolved_store(seq) {
                 return false;
             }
-            if ent.lq != QNONE {
-                let lqe = &mut self.lq.entries[ent.lq as usize];
+            if lqi != QNONE {
+                let lqe = &mut self.lq.entries[lqi as usize];
                 lqe.addr = addr;
                 lqe.addr_ready = true;
                 lqe.size = size;
@@ -1631,16 +1886,16 @@ impl Core {
                 }
             }
             // Capture address and data into the SQ.
-            let data = self.operand(ent.psrc[2]);
+            let data = self.operand(psrc[2]);
             if let Some(le) = self.lanes.as_deref_mut() {
                 // Diverged store data would land in golden memory.
-                if ent.psrc[2] != PNONE {
-                    let m = le.reg_mask(false, ent.psrc[2]);
+                if psrc[2] != PNONE {
+                    let m = le.reg_mask(false, psrc[2]);
                     le.fork(m);
                 }
             }
             let data_taint = if self.taint.is_some() {
-                self.operand_taint(ent.psrc[2]) | if ent.ctl_taint { !0 } else { 0 }
+                self.operand_taint(psrc[2]) | if ctl_taint { !0 } else { 0 }
             } else {
                 0
             };
@@ -1660,6 +1915,7 @@ impl Core {
                 sqe.addr_taint |= addr_taint;
                 sqe.data_taint |= data_taint;
             }
+            self.oldest_unresolved = None;
             if addr_taint != 0 || data_taint != 0 {
                 self.taint_hop(T_PRF, T_SQ);
             }
@@ -1675,23 +1931,26 @@ impl Core {
     /// (store-forwarding conflict not yet drained).
     fn finish_load_access(&mut self, bus: &mut dyn Bus, seq: u64) -> bool {
         let Some(idx) = self.rob_index_of(seq) else { return true }; // squashed
-        let ent = self.rob[idx].clone();
-        if ent.state != EState::Executing {
+        let (state, pc, op, lqi, mem_addr, ctl_taint) = {
+            let e = &self.rob[idx];
+            (e.state, e.pc, e.uop.op, e.lq, e.mem_addr, e.ctl_taint)
+        };
+        if state != EState::Executing {
             return true;
         }
-        let (eff_addr, eff_size) = if ent.lq != QNONE {
-            let lqe = self.lq.entries[ent.lq as usize];
+        let (eff_addr, eff_size) = if lqi != QNONE {
+            let lqe = self.lq.entries[lqi as usize];
             if !lqe.valid || lqe.seq != seq {
                 return true; // entry lost to a fault: writeback never comes
             }
             (lqe.addr, lqe.size.clamp(1, 8))
         } else {
-            (ent.mem_addr, 8)
+            (mem_addr, 8)
         };
         // Re-validate: the buffered request may have been corrupted.
         if eff_addr % eff_size.max(1) as u64 != 0 && self.isa.traps_on_misaligned() {
             let e = &mut self.rob[idx];
-            e.trap = Some(Trap::Misaligned { pc: ent.pc, addr: eff_addr });
+            e.trap = Some(Trap::Misaligned { pc, addr: eff_addr });
             e.state = EState::Done;
             return true;
         }
@@ -1715,7 +1974,7 @@ impl Core {
                         Some(v) => (v, 0, 10),
                         None => {
                             let e = &mut self.rob[idx];
-                            e.trap = Some(Trap::MemFault { pc: ent.pc, addr: eff_addr });
+                            e.trap = Some(Trap::MemFault { pc, addr: eff_addr });
                             e.state = EState::Done;
                             return true;
                         }
@@ -1724,7 +1983,7 @@ impl Core {
                     || !bus.is_cacheable(eff_addr + eff_size as u64 - 1)
                 {
                     let e = &mut self.rob[idx];
-                    e.trap = Some(Trap::MemFault { pc: ent.pc, addr: eff_addr });
+                    e.trap = Some(Trap::MemFault { pc, addr: eff_addr });
                     e.state = EState::Done;
                     return true;
                 } else {
@@ -1738,7 +1997,7 @@ impl Core {
                         }
                         None => {
                             let e = &mut self.rob[idx];
-                            e.trap = Some(Trap::MemFault { pc: ent.pc, addr: eff_addr });
+                            e.trap = Some(Trap::MemFault { pc, addr: eff_addr });
                             e.state = EState::Done;
                             return true;
                         }
@@ -1746,7 +2005,7 @@ impl Core {
                 }
             }
         };
-        let value = match ent.uop.op {
+        let value = match op {
             Op::Load { w, signed } => {
                 let mut raw_masked = raw;
                 if eff_size as u64 != w.bytes() {
@@ -1762,7 +2021,7 @@ impl Core {
         // a tainted request address (any byte could have been fetched).
         let value_taint = if self.taint.is_some() {
             let mut t = raw_taint;
-            if let Op::Load { signed, .. } = ent.uop.op {
+            if let Op::Load { signed, .. } = op {
                 if eff_size < 8 {
                     let bits = eff_size as u32 * 8;
                     t &= (1u64 << bits) - 1;
@@ -1771,8 +2030,8 @@ impl Core {
                     }
                 }
             }
-            let addr_t = if ent.lq != QNONE { self.lq.entries[ent.lq as usize].addr_taint } else { 0 };
-            t | if addr_t != 0 || ent.ctl_taint { !0 } else { 0 }
+            let addr_t = if lqi != QNONE { self.lq.entries[lqi as usize].addr_taint } else { 0 };
+            t | if addr_t != 0 || ctl_taint { !0 } else { 0 }
         } else {
             0
         };
@@ -1828,7 +2087,14 @@ impl Core {
             };
             let sq_idx = if is_store && fu.trap.is_none() {
                 match self.sq.alloc(self.next_seq) {
-                    Some(i) => i as u16,
+                    Some(i) => {
+                        // The youngest store only becomes the oldest
+                        // unresolved one when there is no other.
+                        if self.oldest_unresolved == Some(None) {
+                            self.oldest_unresolved = Some(Some(self.next_seq));
+                        }
+                        i as u16
+                    }
                     None => {
                         if lq_idx != QNONE {
                             self.lq.free(lq_idx as usize);
@@ -1921,7 +2187,7 @@ impl Core {
                 }
             }
             if needs_exec {
-                self.iq.push(seq);
+                self.iq.push(IqEntry { seq, psrc, class: IqClass::of(fu.uop.op), parked: 0 });
             }
             width -= 1;
         }
@@ -2086,22 +2352,6 @@ impl Core {
     // commit-effect log (lockstep oracle) & architectural state transfer
     // ------------------------------------------------------------------
 
-    fn log_effect(&mut self, ent: &RobEntry, trap: Option<Trap>) {
-        if let Some(log) = self.commit_log.as_mut() {
-            log.push(CommitEffect {
-                pc: ent.pc,
-                uop: ent.uop,
-                macro_len: ent.macro_len,
-                last_of_macro: ent.last_of_macro,
-                rd: if ent.pdst != PNONE { Some(ent.uop.rd) } else { None },
-                value: ent.result,
-                next_pc: ent.actual_next,
-                mem_addr: ent.mem_addr,
-                trap,
-            });
-        }
-    }
-
     /// Start logging every committed micro-op's architectural effects
     /// (drained by the SoC into the lockstep oracle).
     pub fn enable_commit_effects(&mut self) {
@@ -2261,9 +2511,11 @@ impl Core {
         }
     }
 
-    /// Drain lane events from the overlay and every cache monitor.
-    pub fn lane_drain_events(&mut self) -> Vec<LaneEvent> {
-        let Some(le) = self.lanes.as_deref_mut() else { return Vec::new() };
+    /// Drain lane events from the overlay and every cache monitor into
+    /// `out` (cleared first; reuse it across ticks to avoid allocating).
+    pub fn lane_drain_events(&mut self, out: &mut Vec<LaneEvent>) {
+        out.clear();
+        let Some(le) = self.lanes.as_deref_mut() else { return };
         for c in [&mut self.l1i, &mut self.l1d, &mut self.l2] {
             for ev in c.drain_lane_events() {
                 match ev {
@@ -2272,7 +2524,8 @@ impl Core {
                 }
             }
         }
-        le.drain_events()
+        // `append` leaves the queue's allocation for the next tick.
+        out.append(&mut le.events);
     }
 
     /// Access the speculative rename map (fault-injection target).
@@ -2301,6 +2554,13 @@ impl Core {
         reg.publish_scoped(scope, "mispredicts", s.mispredicts);
         reg.publish_scoped(scope, "flushes", s.flushes);
         reg.publish_scoped(scope, "replays", s.replays);
+        let issue = scope.child("issue");
+        reg.publish_scoped(&issue, "park_skips", s.park_skips);
+        reg.publish_scoped(&issue, "unpark_store_addr", s.unpark_store_addr);
+        reg.publish_scoped(&issue, "unpark_reg_rewrite", s.unpark_reg_rewrite);
+        reg.publish_scoped(&issue, "unpark_external", s.unpark_external);
+        reg.publish_scoped(&issue, "unpark_prf_guard", s.unpark_prf_guard);
+        reg.publish_scoped(&issue, "unpark_lane_guard", s.unpark_lane_guard);
         for (name, c) in [("l1i", &self.l1i), ("l1d", &self.l1d), ("l2", &self.l2)] {
             let sc = scope.child(name);
             reg.publish_scoped(&sc, "hit", c.hits);
@@ -2334,6 +2594,90 @@ mod tests {
         assert_eq!(op_tag(Op::Store { w: marvel_isa::MemWidth::B }), 3);
         assert_eq!(op_tag(Op::Jal), 4);
         assert_eq!(op_tag(Op::Halt), 5);
+    }
+
+    /// A loop of stores to late-resolving addresses, each read straight
+    /// back: after the first ordering replay trains the memory-dependence
+    /// predictor, the read-backs park.
+    fn parking_core() -> (Core, crate::testbus::TestBus) {
+        use marvel_ir::{assemble, FuncBuilder, Module};
+        use marvel_isa::{Cond, MemWidth};
+        let mut m = Module::new();
+        let buf = m.global_zeroed("buf", 512, 8);
+        let idx = m.global_u64("idx", &(0..64u64).map(|i| (i * 17) % 64).collect::<Vec<_>>());
+        let f = m.declare("main", 0);
+        let mut b = FuncBuilder::new(0);
+        let base = b.addr_of(buf);
+        let idxs = b.addr_of(idx);
+        let i = b.li(0);
+        let top = b.new_label();
+        b.bind(top);
+        // The store's slot comes out of the slow mul/div unit, the read-back's
+        // (the same slot) out of a table: the load is ready first.
+        let slow = b.bin(AluOp::Mul, i, 17);
+        let slow = b.bin(AluOp::Rem, slow, 64);
+        b.store_idx(MemWidth::D, i, base, slow);
+        let slot = b.load_idx(MemWidth::D, false, idxs, i);
+        let v = b.load_idx(MemWidth::D, false, base, slot);
+        b.out_byte(v);
+        let i2 = b.bin(AluOp::Add, i, 1);
+        b.assign(i, i2);
+        b.br(Cond::Lt, i, 64, top);
+        b.halt();
+        m.define(f, b.build());
+        let bin = assemble(&m, Isa::RiscV).unwrap();
+        let mut bus = crate::testbus::TestBus::new();
+        bus.load(bin.entry, &bin.image);
+        // Wide enough that an unparked load always finds an ALU.
+        let mut cfg = CoreConfig::table2(Isa::RiscV);
+        cfg.issue_width = 64;
+        cfg.n_alu = 64;
+        let mut core = Core::new(cfg);
+        core.reset_to(bin.entry);
+        (core, bus)
+    }
+
+    /// Rewriting a register a parked load reads must release the load at
+    /// the next select, even while the store queue still blocks it: here
+    /// the new address is unmapped, so the re-attempt takes the trap that
+    /// a full select loop would take.
+    #[test]
+    fn rewriting_a_parked_loads_source_releases_it() {
+        let (mut core, mut bus) = parking_core();
+        for _ in 0..200_000 {
+            assert_eq!(core.tick(&mut bus), StepEvent::None, "program ended before a usable park");
+            let epoch = core.park_epoch;
+            let Some(q) = core.iq.iter().find(|q| q.parked == epoch && q.psrc[0] != PNONE).copied()
+            else {
+                continue;
+            };
+            // Control: left alone, the next select keeps the load parked.
+            let (mut control, mut cbus) = (core.clone(), bus.clone());
+            control.issue(&mut cbus);
+            if !control.iq.iter().any(|c| c.seq == q.seq && c.parked == control.park_epoch) {
+                continue;
+            }
+            core.prf.write(q.psrc[0], 0x10);
+            core.issue(&mut bus);
+            assert!(core.iq.iter().all(|c| c.seq != q.seq), "load {} stayed parked", q.seq);
+            let idx = core.rob_index_of(q.seq).expect("load still in flight");
+            assert!(
+                matches!(core.rob[idx].trap, Some(Trap::MemFault { .. } | Trap::Misaligned { .. })),
+                "re-attempt did not take the address trap: {:?}",
+                core.rob[idx].trap
+            );
+            assert_eq!(core.stats.unpark_reg_rewrite, 1);
+            return;
+        }
+        panic!("no load parked");
+    }
+
+    #[test]
+    #[should_panic(expected = "cache line sizes must match across the hierarchy")]
+    fn mismatched_cache_line_sizes_are_rejected() {
+        let mut cfg = CoreConfig::table2(Isa::RiscV);
+        cfg.l2.line = 2 * cfg.l1d.line;
+        let _ = Core::new(cfg);
     }
 
     #[test]

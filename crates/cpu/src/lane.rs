@@ -498,6 +498,15 @@ impl LaneEngine {
         self.reg_nz[self.reg_index(fp, reg)] & self.live
     }
 
+    /// A read of `reg` through the operand path would act on some lane:
+    /// a live lane carries a diff on it, or a lane's PRF fate monitor on
+    /// it is still armed.
+    #[inline]
+    pub fn reg_watched(&self, fp: bool, reg: u16) -> bool {
+        let ri = self.reg_index(fp, reg);
+        self.reg_nz[ri] & self.live != 0 || self.prf_fate_mask[ri] != 0
+    }
+
     #[inline]
     pub fn reg_lane_diffs(&self, fp: bool, reg: u16) -> &[u64] {
         let ri = self.reg_index(fp, reg);
@@ -668,11 +677,6 @@ impl LaneEngine {
             m |= 1 << lane;
         }
         m & self.live
-    }
-
-    /// Drain queued events.
-    pub fn drain_events(&mut self) -> Vec<LaneEvent> {
-        std::mem::take(&mut self.events)
     }
 }
 

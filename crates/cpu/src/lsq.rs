@@ -183,10 +183,12 @@ impl StoreQueue {
             .map(|(i, _)| i)
     }
 
-    /// Any valid older (lower-seq) store than `seq` with an unresolved
-    /// address?
-    pub fn older_unknown_addr(&self, seq: u64) -> bool {
-        self.entries.iter().any(|e| e.valid && e.seq < seq && !e.addr_ready)
+    /// Sequence number of the oldest valid store whose address is still
+    /// unresolved: a load with a higher sequence number has an older
+    /// store with an unknown address. One scan answers that for every
+    /// load until the queue next changes.
+    pub fn oldest_unresolved(&self) -> Option<u64> {
+        self.entries.iter().filter(|e| e.valid && !e.addr_ready).map(|e| e.seq).min()
     }
 
     /// Youngest older store overlapping `[addr, addr+size)`. Returns
@@ -309,13 +311,19 @@ mod tests {
     }
 
     #[test]
-    fn older_unknown_addr_detection() {
+    fn oldest_unresolved_store_detection() {
         let mut sq = StoreQueue::new(4);
         let a = sq.alloc(2).unwrap();
-        assert!(sq.older_unknown_addr(5));
+        assert_eq!(sq.oldest_unresolved(), Some(2));
         sq.entries[a].addr_ready = true;
-        assert!(!sq.older_unknown_addr(5));
-        assert!(!sq.older_unknown_addr(1));
+        assert_eq!(sq.oldest_unresolved(), None);
+        let b = sq.alloc(4).unwrap();
+        assert_eq!(sq.oldest_unresolved(), Some(4));
+        sq.entries[a].addr_ready = false;
+        assert_eq!(sq.oldest_unresolved(), Some(2));
+        sq.entries[a].valid = false;
+        sq.entries[b].addr_ready = true;
+        assert_eq!(sq.oldest_unresolved(), None);
     }
 
     #[test]

@@ -18,6 +18,13 @@ pub struct PhysRegFile {
     /// (`None` = tracking off). Marked on value/ready mutation; armed
     /// fate and taint are restored wholesale by `reset_from`.
     journal: Option<Box<DirtyMap>>,
+    /// Registers feeding the core's parked loads, one bit each. Any
+    /// value/ready mutation of a watched register raises `watch_hit`,
+    /// which the core turns into an issue-epoch bump (see DESIGN.md,
+    /// "issue-stage parking"). Derived state: excluded from
+    /// `converged_with`, copied by `reset_from`.
+    watch: Vec<u64>,
+    watch_hit: bool,
 }
 
 impl PhysRegFile {
@@ -30,13 +37,19 @@ impl PhysRegFile {
             armed: None,
             taint: Vec::new(),
             journal: None,
+            watch: vec![0; n.div_ceil(64)],
+            watch_hit: false,
         }
     }
 
+    /// Every value/ready mutation of register `p` passes through here.
     #[inline]
     fn mark(&mut self, p: u16) {
         if let Some(j) = &mut self.journal {
             j.mark(p as usize);
+        }
+        if self.watch[p as usize / 64] & (1 << (p % 64)) != 0 {
+            self.watch_hit = true;
         }
     }
 
@@ -100,6 +113,9 @@ impl PhysRegFile {
         if let Some(j) = &mut self.journal {
             j.mark_all();
         }
+        if self.watch.iter().any(|&w| w != 0) {
+            self.watch_hit = true;
+        }
         self.ready.iter_mut().for_each(|r| *r = true);
     }
 
@@ -136,6 +152,33 @@ impl PhysRegFile {
         self.armed.map(|(_, f)| f)
     }
 
+    /// The armed fault sits in `p` and has not been read or overwritten
+    /// yet: the next [`read`](Self::read) of `p` latches its fate.
+    #[inline]
+    pub fn armed_pending(&self, p: u16) -> bool {
+        self.armed == Some((p, FaultFate::Pending))
+    }
+
+    // ---- issue-stage parking watch ----
+
+    /// Watch register `p` on behalf of a parked load.
+    #[inline]
+    pub fn watch(&mut self, p: u16) {
+        self.watch[p as usize / 64] |= 1 << (p % 64);
+    }
+
+    /// Drop every watch (the core released all parked loads).
+    pub fn clear_watch(&mut self) {
+        self.watch.iter_mut().for_each(|w| *w = 0);
+        self.watch_hit = false;
+    }
+
+    /// Whether a watched register was mutated since the last call.
+    #[inline]
+    pub fn take_watch_hit(&mut self) -> bool {
+        std::mem::take(&mut self.watch_hit)
+    }
+
     // ---- zero-copy campaign reset ----
 
     /// Start journaling per-register mutations so
@@ -167,6 +210,8 @@ impl PhysRegFile {
         }
         self.stuck.clone_from(&pristine.stuck);
         self.armed = pristine.armed;
+        self.watch.copy_from_slice(&pristine.watch);
+        self.watch_hit = pristine.watch_hit;
         if pristine.taint.is_empty() {
             self.taint.clear();
         } else {
@@ -190,7 +235,8 @@ impl PhysRegFile {
 
     /// Functional-state equality against the rung snapshot `pristine`,
     /// restricted to journaled dirty registers (full sweep when tracking is
-    /// off). Armed fate and the taint plane are observational and excluded;
+    /// off). Armed fate, the parking watch and the taint plane are
+    /// observational or derived and excluded;
     /// taint is checked separately via [`taint_quiescent`](Self::taint_quiescent).
     pub fn converged_with(&self, pristine: &PhysRegFile) -> bool {
         debug_assert_eq!(self.vals.len(), pristine.vals.len());
@@ -328,9 +374,16 @@ pub struct FreeList {
 impl FreeList {
     /// All registers except 0 (constant zero) and those in `in_use`.
     pub fn new(prf_size: u16, in_use: &[u16]) -> Self {
-        let mut free: Vec<u16> = (1..prf_size).filter(|p| !in_use.contains(p)).collect();
-        free.reverse(); // pop from the low end first
-        FreeList { free }
+        let mut fl = FreeList { free: Vec::with_capacity(prf_size as usize) };
+        fl.rebuild(prf_size, in_use);
+        fl
+    }
+
+    /// Refill as [`new`](Self::new) would, reusing this list's allocation.
+    pub fn rebuild(&mut self, prf_size: u16, in_use: &[u16]) {
+        self.free.clear();
+        // Descending, so `alloc` pops from the low end first.
+        self.free.extend((1..prf_size).rev().filter(|p| !in_use.contains(p)));
     }
 
     pub fn alloc(&mut self) -> Option<u16> {
@@ -463,5 +516,29 @@ mod tests {
             got.push(p);
         }
         assert_eq!(got, vec![1, 2, 4, 6, 7]);
+        fl.rebuild(8, &[1, 7]);
+        assert_eq!(fl, FreeList::new(8, &[1, 7]));
+        assert_eq!(fl.alloc(), Some(2));
+    }
+
+    #[test]
+    fn watched_register_mutations_raise_the_hit() {
+        let mut prf = PhysRegFile::new(130);
+        prf.watch(129);
+        prf.write(3, 1);
+        prf.set_ready(4, false);
+        assert!(!prf.take_watch_hit(), "unwatched registers stay quiet");
+        prf.set_ready(129, false);
+        assert!(prf.take_watch_hit());
+        assert!(!prf.take_watch_hit(), "the hit is consumed");
+        prf.write(129, 5);
+        assert!(prf.take_watch_hit());
+        prf.flip_bit(129 * 64);
+        assert!(prf.armed_pending(129) && !prf.armed_pending(3));
+        prf.clear_watch();
+        assert!(!prf.take_watch_hit(), "clearing drops a pending hit");
+        prf.write(129, 6);
+        assert!(!prf.take_watch_hit(), "and every watch");
+        assert!(!prf.armed_pending(129), "the write latched Overwritten");
     }
 }

@@ -13,7 +13,7 @@ proptest! {
     fn read_after_write_same_line(addr in 0u64..64u64, val in any::<u64>()) {
         let mut c = Cache::new(small_cfg());
         let base = 0x4000_0000u64;
-        c.fill(base, &[0u8; 64]);
+        c.fill(base, &[0u8; 64], &mut [0u8; 64]);
         let way = c.lookup(base).unwrap();
         let a = base + (addr & !7);
         c.write(a, 8, val, way);
@@ -25,7 +25,7 @@ proptest! {
         let mut c = Cache::new(small_cfg());
         // Fill every line so flips land in valid lines.
         for i in 0..64u64 {
-            c.fill(0x4000_0000 + i * 64, &[0xA5u8; 64]);
+            c.fill(0x4000_0000 + i * 64, &[0xA5u8; 64], &mut [0u8; 64]);
         }
         c.flip_bit(bit);
         c.flip_bit(bit);
@@ -44,17 +44,18 @@ proptest! {
         let sets = 16u64; // 4096 / (4*64)
         let stride = sets * 64;
         let base = 0x4000_0000 + set_sel * 64;
-        c.fill(base, &[0u8; 64]);
+        c.fill(base, &[0u8; 64], &mut [0u8; 64]);
         let way = c.lookup(base).unwrap();
         c.write(base, 8, val, way);
         // Force eviction by filling 4 more lines into the same set.
         let mut evicted = None;
+        let mut data = [0u8; 64];
         for i in 1..=4u64 {
-            if let Some(e) = c.fill(base + i * stride, &[0u8; 64]) {
+            if let Some(e) = c.fill(base + i * stride, &[0u8; 64], &mut data) {
                 evicted = Some(e);
             }
         }
-        let (eaddr, data) = evicted.expect("dirty line must be written back");
+        let eaddr = evicted.expect("dirty line must be written back");
         prop_assert_eq!(eaddr, base);
         prop_assert_eq!(u64::from_le_bytes(data[..8].try_into().unwrap()), val);
     }
@@ -62,7 +63,7 @@ proptest! {
     #[test]
     fn stuck_bit_wins_every_write(bit in 0u64..512, v in any::<bool>(), w in any::<u64>()) {
         let mut c = Cache::new(small_cfg());
-        c.fill(0x4000_0000, &[0u8; 64]);
+        c.fill(0x4000_0000, &[0u8; 64], &mut [0u8; 64]);
         c.set_stuck(bit, v);
         let way = c.lookup(0x4000_0000).unwrap();
         let byte_addr = 0x4000_0000 + ((bit / 8) & !7);
@@ -79,7 +80,7 @@ proptest! {
         for (k, &l) in lines.iter().enumerate() {
             let addr = 0x4000_0000 + (l % 4) * 16 * 64 + (k as u64 % 4) * 64;
             if c.lookup(addr).is_none() {
-                c.fill(addr, &[k as u8; 64]);
+                c.fill(addr, &[k as u8; 64], &mut [0u8; 64]);
             }
             prop_assert!(c.lookup(addr).is_some());
         }

@@ -679,6 +679,7 @@ impl System {
                 self.bus.accels[accel].accel.mmr.flip_bit(bit);
             }
         }
+        self.core.note_external_mutation();
     }
 
     /// Install a permanent stuck-at fault.
@@ -701,6 +702,7 @@ impl System {
                 self.flip(t, bit)
             }
         }
+        self.core.note_external_mutation();
     }
 
     /// Early-termination monitoring state of the armed fault, if the
@@ -760,6 +762,7 @@ impl System {
     /// landing in an invalid cache line). No data-plane state changes.
     pub fn lane_arm(&mut self, lane: u8, t: Target, bit: u64) -> FaultFate {
         assert!(bit < self.bit_len(t), "bit {bit} out of range for {}", t.name());
+        self.core.note_external_mutation();
         match t {
             Target::PrfInt => self.core.lane_arm_prf(lane, false, bit),
             Target::PrfFp => self.core.lane_arm_prf(lane, true, bit),
@@ -784,9 +787,10 @@ impl System {
     }
 
     /// Drain lane fork/fate/divergence events accumulated since the last
-    /// drain (including cache-monitor events folded through the core).
-    pub fn lane_drain_events(&mut self) -> Vec<LaneEvent> {
-        self.core.lane_drain_events()
+    /// drain (including cache-monitor events folded through the core)
+    /// into `out`, replacing its contents.
+    pub fn lane_drain_events(&mut self, out: &mut Vec<LaneEvent>) {
+        self.core.lane_drain_events(out)
     }
 
     /// The live lane-divergence overlay, when armed.

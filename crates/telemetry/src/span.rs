@@ -192,6 +192,9 @@ pub struct PhaseReport {
     pub rows: Vec<PhaseRow>,
     /// Microseconds since the collector was created (its epoch).
     pub wall_us: u64,
+    /// Most worker lanes ever open at once (at least 1): the number of
+    /// threads that could accrue self time in parallel.
+    pub lanes: u64,
 }
 
 impl PhaseReport {
@@ -201,12 +204,12 @@ impl PhaseReport {
         self.rows.iter().map(|r| r.self_us).sum()
     }
 
-    /// Attributed fraction of the collector's wall clock. Directly
-    /// meaningful for single-worker campaigns (the ≥90% acceptance
-    /// check); with N workers the attributed time can legitimately
-    /// exceed 1.0 wall.
+    /// Attributed fraction of the time the worker lanes had: self time
+    /// summed over every lane, over `lanes` × wall clock. Reads the same
+    /// at any worker count — about 1.0 when every lane is busy inside
+    /// some phase for the whole run.
     pub fn coverage(&self) -> f64 {
-        self.self_total_us() as f64 / (self.wall_us.max(1)) as f64
+        self.self_total_us() as f64 / (self.lanes.max(1) * self.wall_us.max(1)) as f64
     }
 
     pub fn calls(&self, phase: PhaseId) -> u64 {
@@ -231,6 +234,8 @@ struct SpanShared {
     external: Mutex<(Vec<SpanEvent>, u64)>,
     lanes: Mutex<Vec<LaneDump>>,
     next_tid: AtomicU64,
+    open_lanes: AtomicU64,
+    peak_lanes: AtomicU64,
 }
 
 /// Shared handle to a campaign's span state. `Default` is disabled: every
@@ -265,6 +270,8 @@ impl SpanCollector {
                 external: Mutex::new((Vec::new(), 0)),
                 lanes: Mutex::new(Vec::new()),
                 next_tid: AtomicU64::new(1),
+                open_lanes: AtomicU64::new(0),
+                peak_lanes: AtomicU64::new(0),
             })),
         }
     }
@@ -292,7 +299,11 @@ impl SpanCollector {
     /// collector are free to construct and no-ops to use.
     pub fn lane(&self, name: &str) -> SpanLane {
         let (tid, name) = match &self.shared {
-            Some(s) => (s.next_tid.fetch_add(1, Ordering::Relaxed), name.to_string()),
+            Some(s) => {
+                let open = s.open_lanes.fetch_add(1, Ordering::Relaxed) + 1;
+                s.peak_lanes.fetch_max(open, Ordering::Relaxed);
+                (s.next_tid.fetch_add(1, Ordering::Relaxed), name.to_string())
+            }
             None => (0, String::new()),
         };
         SpanLane {
@@ -330,7 +341,9 @@ impl SpanCollector {
     /// Build the wall-time attribution table from the live aggregates
     /// (no lane flush required — the tables are updated at span exit).
     pub fn report(&self) -> PhaseReport {
-        let Some(sh) = &self.shared else { return PhaseReport { rows: Vec::new(), wall_us: 0 } };
+        let Some(sh) = &self.shared else {
+            return PhaseReport { rows: Vec::new(), wall_us: 0, lanes: 1 };
+        };
         let mut rows: Vec<PhaseRow> = PhaseId::ALL
             .iter()
             .filter_map(|&phase| {
@@ -351,7 +364,11 @@ impl SpanCollector {
             })
             .collect();
         rows.sort_by(|a, b| b.self_us.cmp(&a.self_us).then(a.phase.index().cmp(&b.phase.index())));
-        PhaseReport { rows, wall_us: sh.epoch.elapsed().as_micros() as u64 }
+        PhaseReport {
+            rows,
+            wall_us: sh.epoch.elapsed().as_micros() as u64,
+            lanes: sh.peak_lanes.load(Ordering::Relaxed).max(1),
+        }
     }
 
     /// Snapshot every flushed lane plus the external track. Lanes merge
@@ -529,6 +546,7 @@ impl Drop for SpanLane {
     fn drop(&mut self) {
         let Some(sh) = &self.shared else { return };
         debug_assert!(self.stack.is_empty(), "lane dropped with open spans");
+        sh.open_lanes.fetch_sub(1, Ordering::Relaxed);
         let mut kept = std::mem::take(&mut self.kept);
         kept.sort_by_key(|t| std::cmp::Reverse(t.dur_us));
         sh.lanes.lock().unwrap().push(LaneDump {
@@ -653,5 +671,31 @@ mod tests {
         assert!(rep.wall_us >= 5_000);
         assert!(rep.self_total_us() >= 5_000);
         assert!(rep.coverage() > 0.0 && rep.coverage() <= 1.05);
+    }
+
+    #[test]
+    fn coverage_normalises_by_concurrent_lanes() {
+        let c = SpanCollector::enabled();
+        // Two lanes busy inside a phase for the collector's whole life.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for k in 0..2 {
+                let (c, barrier) = (&c, &barrier);
+                s.spawn(move || {
+                    let mut lane = c.lane(&format!("w{k}"));
+                    barrier.wait();
+                    lane.enter(PhaseId::SimStepCpu);
+                    std::thread::sleep(std::time::Duration::from_millis(100));
+                    lane.exit(PhaseId::SimStepCpu);
+                });
+            }
+        });
+        let rep = c.report();
+        assert_eq!(rep.lanes, 2);
+        let cov = rep.coverage();
+        assert!((0.8..=1.05).contains(&cov), "2 busy lanes cover {:.0}%, not ~100%", cov * 100.0);
+        // A later single-lane phase does not lower the lane count.
+        drop(c.lane("late"));
+        assert_eq!(c.report().lanes, 2);
     }
 }

@@ -57,7 +57,8 @@ pub fn render_chrome_trace(dump: &TraceDump) -> String {
 }
 
 /// Render the attribution report as an aligned human table plus a
-/// coverage line (attributed self time over collector wall time).
+/// coverage line (attributed self time over worker lanes × collector
+/// wall time).
 pub fn render_phase_table(rep: &PhaseReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -76,10 +77,11 @@ pub fn render_phase_table(rep: &PhaseReport) -> String {
         ));
     }
     out.push_str(&format!(
-        "attributed {} µs of {} µs wall ({:.1}%)\n",
+        "attributed {} µs of {} µs wall ({:.1}%) over {} worker lane(s)\n",
         rep.self_total_us(),
         rep.wall_us,
-        rep.coverage() * 100.0
+        rep.coverage() * 100.0,
+        rep.lanes
     ));
     out
 }

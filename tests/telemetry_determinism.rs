@@ -108,3 +108,40 @@ fn dsa_campaign_classifications_invariant_under_telemetry() {
     let runs = snap.counters.iter().find(|(n, _)| n == "dsa.runs").unwrap().1;
     assert_eq!(runs, 20);
 }
+
+/// The issue stage's parking counters reach the registry through
+/// `Core::publish_metrics` (the golden checkpoint's core, published by
+/// campaign preparation), show loads actually parking on golden sha, and
+/// read the same at any worker count.
+#[test]
+fn issue_park_counters_are_published_and_worker_invariant() {
+    use gem5_marvel::serve::{CampaignSpec, Prepared};
+    let counters = |workers: usize| {
+        let spec = CampaignSpec::parse(&format!(
+            r#"{{"type":"campaign_spec","schema_version":1,"id":"park-w{workers}",
+                "workload":{{"kind":"cpu","bench":"sha","isa":"riscv"}},
+                "faults":16,"workers":{workers}}}"#
+        ))
+        .unwrap();
+        let registry = Registry::new();
+        let cc = spec.to_config(TelemetryConfig { registry: registry.clone(), ..Default::default() });
+        let prepared = Prepared::new(&spec, &cc).unwrap();
+        prepared.drive(&cc, &vec![false; prepared.masks.len()], None, &|_, _| {});
+        registry
+            .snapshot()
+            .counters
+            .into_iter()
+            .filter(|(name, _)| name.contains(".issue."))
+            .collect::<Vec<_>>()
+    };
+    let one = counters(1);
+    let get = |leaf: &str| {
+        one.iter().find(|(n, _)| n.ends_with(leaf)).unwrap_or_else(|| panic!("{leaf} not published")).1
+    };
+    assert!(get("issue.park_skips") > 0, "no parked-load skips on golden sha: {one:?}");
+    assert!(get("issue.unpark_store_addr") > 0, "parked loads never released by a store: {one:?}");
+    for leaf in ["unpark_reg_rewrite", "unpark_external", "unpark_prf_guard", "unpark_lane_guard"] {
+        get(leaf);
+    }
+    assert_eq!(one, counters(2), "park counters depend on the worker count");
+}
